@@ -7,39 +7,44 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xpathest/internal/core"
 	"xpathest/internal/guard"
 	"xpathest/internal/xpath"
 )
 
-// Query is a compiled query: parsed and validated once, reusable for
-// any number of estimations against any summary. It is immutable and
-// safe for concurrent use — estimation only reads the parsed form —
-// which is what makes it the unit of the serving layer's plan cache.
+// Query is a compiled query: parsed, turned into its query tree and
+// checked against the estimator's query shapes once, reusable for any
+// number of estimations against any summary. It is immutable and safe
+// for concurrent use — estimation only reads the tree — which is what
+// makes it the unit of the serving layer's plan cache.
 type Query struct {
-	p    *xpath.Path
+	tree *xpath.Tree
 	text string
 }
 
-// CompileQuery parses and validates a query string against the
-// supported fragment.
+// CompileQuery parses a query string and builds its query tree. Every
+// malformed query fails here, whether it is outside the supported
+// fragment or has a tree shape the estimator cannot handle (such as
+// two order axes), and never later against a summary.
 func CompileQuery(query string) (*Query, error) {
 	p, err := xpath.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{p: p, text: p.String()}, nil
+	tree, err := core.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{tree: tree, text: p.String()}, nil
 }
 
 // String returns the query's canonical form.
 func (q *Query) String() string { return q.text }
 
 // EstimateQuery estimates a compiled query, skipping the per-call
-// parse of Estimate.
+// compile of Estimate.
 func (s *Summary) EstimateQuery(q *Query) (float64, error) {
-	if q == nil {
-		return 0, fmt.Errorf("xpathest: nil query: %w", guard.ErrInvalidArgument)
-	}
-	return s.est.Estimate(q.p)
+	return s.EstimateQueryContext(nil, q)
 }
 
 // EstimateQueryContext is EstimateQuery with a cancellation check and
@@ -51,10 +56,17 @@ func (s *Summary) EstimateQueryContext(ctx context.Context, q *Query) (float64, 
 	if q == nil {
 		return 0, fmt.Errorf("xpathest: nil query: %w", guard.ErrInvalidArgument)
 	}
+	return s.estimate(q)
+}
+
+// estimate is the body every estimate entry point shares: the
+// estimator over the compiled tree, under panic isolation. Each entry
+// point polls its context once, before calling it.
+func (s *Summary) estimate(q *Query) (float64, error) {
 	var v float64
 	err := guard.Safe("estimate", func() error {
 		var err error
-		v, err = s.est.Estimate(q.p)
+		v, err = s.est.EstimateTree(q.tree)
 		return err
 	})
 	return v, err
@@ -159,8 +171,8 @@ func (s *Summary) EstimateBatchContext(ctx context.Context, queries []string, op
 	return results, nil
 }
 
-// estimateOne runs one batch slot: guard checks, then estimation with
-// panic isolation.
+// estimateOne runs one batch slot: guard checks, then compilation and
+// estimation with panic isolation.
 func (s *Summary) estimateOne(ctx context.Context, query string, lim Limits) BatchResult {
 	r := BatchResult{Query: query}
 	if err := guard.CheckContext(ctx); err != nil {
@@ -171,10 +183,11 @@ func (s *Summary) estimateOne(ctx context.Context, query string, lim Limits) Bat
 		r.Err = err
 		return r
 	}
-	r.Err = guard.Safe("estimate", func() error {
-		var err error
-		r.Estimate, err = s.est.EstimateString(query)
-		return err
-	})
+	q, err := CompileQuery(query)
+	if err != nil {
+		r.Err = err
+		return r
+	}
+	r.Estimate, r.Err = s.estimate(q)
 	return r
 }

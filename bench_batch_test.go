@@ -33,7 +33,8 @@ func batchBenchSetup(b *testing.B) (*Summary, []string) {
 }
 
 // BenchmarkEstimateBatch runs one EstimateBatch call per iteration
-// over 256 query slots (8 distinct shapes).
+// over 256 query slots (8 distinct shapes): one op is 256 slots, not
+// one query, so ns/op divided by 256 is the per-slot cost.
 func BenchmarkEstimateBatch(b *testing.B) {
 	sum, queries := batchBenchSetup(b)
 	b.ReportAllocs()
@@ -49,7 +50,7 @@ func BenchmarkEstimateBatch(b *testing.B) {
 }
 
 // BenchmarkEstimateSequential is the baseline for the batch API: the
-// same 256 slots as individual EstimateString calls.
+// same 256 slots as individual Estimate calls.
 func BenchmarkEstimateSequential(b *testing.B) {
 	sum, queries := batchBenchSetup(b)
 	b.ReportAllocs()

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"xpathest/internal/experiments"
+	"xpathest/internal/xpath"
 )
 
 var (
@@ -195,7 +196,7 @@ func BenchmarkEstimateSimple(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateString("//PLAY/ACT/SCENE/SPEECH"); err != nil {
+		if _, err := est.Estimate(xpath.MustParse("//PLAY/ACT/SCENE/SPEECH")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +209,7 @@ func BenchmarkEstimateOrder(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateString("//SCENE[/SPEECH/folls::STAGEDIR]"); err != nil {
+		if _, err := est.Estimate(xpath.MustParse("//SCENE[/SPEECH/folls::STAGEDIR]")); err != nil {
 			b.Fatal(err)
 		}
 	}

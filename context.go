@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"xpathest/internal/core"
 	"xpathest/internal/guard"
 	"xpathest/internal/histogram"
 	"xpathest/internal/pathenc"
@@ -89,31 +88,7 @@ func (d *Document) BuildSummaryContext(ctx context.Context, opts SummaryOptions)
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Summary{opts: opts, lab: d.lab, tree: d.tree, src: d, epoch: d.Epoch()}
-	n := d.lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		pv, ov = 0, 0
-	}
-	ps, err := histogramBuildPContext(ctx, d.tables, n, pv)
-	if err != nil {
-		return nil, err
-	}
-	os, err := histogramBuildOContext(ctx, d.tables, ps, n, ov)
-	if err != nil {
-		return nil, err
-	}
-	s.ps, s.os = ps, os
-	if opts.Exact {
-		s.est = core.New(d.lab, core.TableSource{Tables: d.tables})
-		s.pBytes = d.tables.Freq.SizeBytes(pidRefBytes(n))
-		s.oBytes = d.tables.Order.SizeBytes(pidRefBytes(n))
-	} else {
-		s.est = core.New(d.lab, core.HistogramSource{P: ps, O: os})
-		s.pBytes = ps.SizeBytes()
-		s.oBytes = os.SizeBytes()
-	}
-	return s, nil
+	return d.buildSummary(ctx, opts)
 }
 
 // ExactCountContext is ExactCount honoring cancellation at the
@@ -139,13 +114,11 @@ func (s *Summary) EstimateContext(ctx context.Context, query string) (float64, e
 	if err := guard.CheckContext(ctx); err != nil {
 		return 0, err
 	}
-	var v float64
-	err := guard.Safe("estimate", func() error {
-		var err error
-		v, err = s.est.EstimateString(query)
-		return err
-	})
-	return v, err
+	q, err := CompileQuery(query)
+	if err != nil {
+		return 0, err
+	}
+	return s.estimate(q)
 }
 
 // SummarizeFileContext is SummarizeFile under resource limits and
@@ -170,25 +143,11 @@ func SummarizeStreamContext(ctx context.Context, opener func() (io.ReadCloser, e
 	if err != nil {
 		return nil, err
 	}
-	s := &Summary{opts: opts, lab: lab, tree: tree}
-	n := lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		pv, ov = 0, 0
-	}
-	ps, err := histogramBuildPContext(ctx, tables, n, pv)
+	ps, os, err := buildHistograms(ctx, opts, lab, tables)
 	if err != nil {
 		return nil, err
 	}
-	os, err := histogramBuildOContext(ctx, tables, ps, n, ov)
-	if err != nil {
-		return nil, err
-	}
-	s.ps, s.os = ps, os
-	s.est = core.New(lab, core.HistogramSource{P: ps, O: os})
-	s.pBytes = ps.SizeBytes()
-	s.oBytes = os.SizeBytes()
-	return s, nil
+	return newSummary(opts, lab, tree, ps, os, nil), nil
 }
 
 // ReadSummaryContext is ReadSummary under resource limits and
@@ -241,15 +200,5 @@ func summaryFromDecoded(ctx context.Context, lab *pathenc.Labeling, ps *histogra
 	if err != nil {
 		return nil, fmt.Errorf("xpathest: %v: %w", err, guard.ErrCorruptSummary)
 	}
-	s := &Summary{
-		opts: SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold},
-		lab:  lab,
-		tree: tree,
-		ps:   ps,
-		os:   os,
-		est:  core.New(lab, core.HistogramSource{P: ps, O: os}),
-	}
-	s.pBytes = ps.SizeBytes()
-	s.oBytes = os.SizeBytes()
-	return s, nil
+	return newSummary(SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold}, lab, tree, ps, os, nil), nil
 }

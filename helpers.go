@@ -1,14 +1,12 @@
 package xpathest
 
 import (
-	"context"
 	"io"
 
 	"xpathest/internal/histogram"
 	"xpathest/internal/interval"
 	"xpathest/internal/pathenc"
 	"xpathest/internal/poshist"
-	"xpathest/internal/stats"
 	"xpathest/internal/summaryio"
 	"xpathest/internal/workload"
 	"xpathest/internal/xpath"
@@ -19,10 +17,6 @@ func parseQuery(q string) (*xpath.Path, error) { return xpath.Parse(q) }
 
 func summaryEncode(w io.Writer, lab *pathenc.Labeling, ps *histogram.PSet, os *histogram.OSet) error {
 	return summaryio.Encode(w, lab.Table, lab.Distinct(), ps, os)
-}
-
-func summaryDecode(r io.Reader) (*pathenc.Labeling, *histogram.PSet, *histogram.OSet, error) {
-	return summaryDecodeLimited(r, 0)
 }
 
 func summaryDecodeLimited(r io.Reader, maxBytes int64) (*pathenc.Labeling, *histogram.PSet, *histogram.OSet, error) {
@@ -50,22 +44,6 @@ func pidRefBytes(numDistinct int) int {
 		return 2
 	}
 	return 4
-}
-
-func histogramBuildP(t *stats.Tables, n int, v float64) *histogram.PSet {
-	return histogram.BuildPSet(t.Freq, n, v)
-}
-
-func histogramBuildO(t *stats.Tables, ps *histogram.PSet, n int, v float64) *histogram.OSet {
-	return histogram.BuildOSet(t.Order, ps, n, v)
-}
-
-func histogramBuildPContext(ctx context.Context, t *stats.Tables, n int, v float64) (*histogram.PSet, error) {
-	return histogram.BuildPSetContext(ctx, t.Freq, n, v)
-}
-
-func histogramBuildOContext(ctx context.Context, t *stats.Tables, ps *histogram.PSet, n int, v float64) (*histogram.OSet, error) {
-	return histogram.BuildOSetContext(ctx, t.Order, ps, n, v)
 }
 
 // XSketchSummary wraps the reimplemented XSketch comparator so

@@ -57,35 +57,47 @@ func (x *Explanation) String() string {
 	return out
 }
 
+// Compile builds the query tree of a parsed path and rejects the tree
+// shapes outside the estimator's class: more than one order edge, and
+// a following/preceding step anchored at the virtual root (the
+// Example 5.3 rewrite needs a parent element to anchor segments
+// under). It is the estimator's only tree builder: every entry point
+// that takes a path compiles through it, and a caller that estimates
+// one query many times compiles once and uses EstimateTree.
+func Compile(p *xpath.Path) (*xpath.Tree, error) {
+	tree, err := xpath.BuildTree(p)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case len(tree.Edges) > 1:
+		return nil, fmt.Errorf("core: queries with multiple order axes are not supported: %w", guard.ErrMalformedQuery)
+	case len(tree.Edges) == 1 && !tree.Edges[0].SiblingOnly && tree.Edges[0].Parent.IsVRoot():
+		return nil, fmt.Errorf("core: preceding/following cannot be anchored at the document root: %w", guard.ErrMalformedQuery)
+	}
+	return tree, nil
+}
+
 // Explain estimates the query while recording the derivation.
 func (e *Estimator) Explain(p *xpath.Path) (*Explanation, error) {
-	x := &Explanation{Query: p.String()}
+	tree, err := Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return e.ExplainTree(tree)
+}
+
+// ExplainTree is Explain over a tree returned by Compile.
+func (e *Estimator) ExplainTree(tree *xpath.Tree) (*Explanation, error) {
+	x := &Explanation{Query: tree.Path.String()}
 	t := *e
 	t.trace = &x.Steps
-	v, err := t.Estimate(p)
+	v, err := t.EstimateTree(tree)
 	if err != nil {
 		return nil, err
 	}
 	x.Value = v
 	return x, nil
-}
-
-// ExplainString parses and explains a query.
-func (e *Estimator) ExplainString(query string) (*Explanation, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.Explain(p)
-}
-
-// EstimateString parses and estimates a query.
-func (e *Estimator) EstimateString(query string) (float64, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return 0, err
-	}
-	return e.Estimate(p)
 }
 
 // Estimate returns the estimated selectivity of the query's target
@@ -94,23 +106,28 @@ func (e *Estimator) EstimateString(query string) (float64, error) {
 // order-axis step (the standardized Q⃗ = q1[/q2/folls::q3] and its
 // preceding/following variants).
 func (e *Estimator) Estimate(p *xpath.Path) (float64, error) {
-	tree, err := e.kern.tree(p)
+	tree, err := Compile(p)
 	if err != nil {
 		return 0, err
 	}
-	var est float64
-	switch len(tree.Edges) {
-	case 0:
+	return e.EstimateTree(tree)
+}
+
+// EstimateTree is Estimate over a tree returned by Compile. Trees are
+// read-only during estimation, so one tree may be estimated
+// concurrently, and against any number of estimators.
+func (e *Estimator) EstimateTree(tree *xpath.Tree) (float64, error) {
+	var (
+		est float64
+		err error
+	)
+	switch {
+	case len(tree.Edges) == 0:
 		est, err = e.noOrder(tree, fullInclude(tree), tree.Target)
-	case 1:
-		edge := tree.Edges[0]
-		if !edge.SiblingOnly {
-			est, err = e.convertAndEstimate(tree, p, edge)
-		} else {
-			est, err = e.orderEstimate(tree, edge)
-		}
+	case tree.Edges[0].SiblingOnly:
+		est, err = e.orderEstimate(tree, tree.Edges[0])
 	default:
-		return 0, fmt.Errorf("core: queries with multiple order axes are not supported: %w", guard.ErrMalformedQuery)
+		est, err = e.convertAndEstimate(tree, tree.Edges[0])
 	}
 	if err != nil {
 		return 0, err
@@ -141,7 +158,7 @@ func (e *Estimator) clampToTag(tag string, est float64) float64 {
 // over-estimate that Example 4.3 illustrates. Exposed for ablation
 // studies of the branch correction.
 func (e *Estimator) RawJoinEstimate(p *xpath.Path) (float64, error) {
-	tree, err := e.kern.tree(p)
+	tree, err := Compile(p)
 	if err != nil {
 		return 0, err
 	}
@@ -161,7 +178,7 @@ func (e *Estimator) RawJoinEstimate(p *xpath.Path) (float64, error) {
 // bitsets are the interned instances from the statistics source, so
 // callers holding interned document labels can compare by pointer.
 func (e *Estimator) SurvivingPids(p *xpath.Path) (map[*xpath.Step][]*bitset.Bitset, error) {
-	tree, err := e.kern.tree(p)
+	tree, err := Compile(p)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +433,7 @@ func (e *Estimator) deepBranchEstimate(tree *xpath.Tree, inc includeSet, edge xp
 // selectivities are summed; for targets outside the order node's
 // branch the sum is capped by the no-order estimate (imposing order
 // cannot increase selectivity).
-func (e *Estimator) convertAndEstimate(tree *xpath.Tree, p *xpath.Path, edge xpath.OrderEdge) (float64, error) {
+func (e *Estimator) convertAndEstimate(tree *xpath.Tree, edge xpath.OrderEdge) (float64, error) {
 	// The rewritten node is the endpoint whose original step used the
 	// following/preceding axis: the After endpoint for following, the
 	// Before endpoint for preceding.
@@ -428,9 +445,6 @@ func (e *Estimator) convertAndEstimate(tree *xpath.Tree, p *xpath.Path, edge xpa
 		m = edge.Before
 	default:
 		return 0, fmt.Errorf("core: cannot locate the preceding/following step: %w", guard.ErrInternal)
-	}
-	if edge.Parent.IsVRoot() {
-		return 0, fmt.Errorf("core: preceding/following cannot be anchored at the document root: %w", guard.ErrMalformedQuery)
 	}
 
 	joined, err := pathJoin(e.kern, tree, nil)
@@ -457,7 +471,7 @@ func (e *Estimator) convertAndEstimate(tree *xpath.Tree, p *xpath.Path, edge xpa
 
 	sum := 0.0
 	for _, seg := range segList {
-		rw := rewriteOrderStep(p, m.Step, seg)
+		rw := rewriteOrderStep(tree.Path, m.Step, seg)
 		e.tracef("Example 5.3 rewrite through segment %v: %s", seg, rw)
 		est, err := e.Estimate(rw)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"xpathest/internal/eval"
+	"xpathest/internal/guard"
 	"xpathest/internal/histogram"
 	"xpathest/internal/paperfig"
 	"xpathest/internal/stats"
@@ -37,7 +39,7 @@ func newFixture(t testing.TB) *fixture {
 
 func (f *fixture) estimate(t testing.TB, q string) float64 {
 	t.Helper()
-	got, err := f.est.EstimateString(q)
+	got, err := f.est.Estimate(xpath.MustParse(q))
 	if err != nil {
 		t.Fatalf("Estimate(%s): %v", q, err)
 	}
@@ -52,7 +54,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 // Q1 = //A[/C/F]/B/D.
 func TestExample41PathJoin(t *testing.T) {
 	f := newFixture(t)
-	tree, err := xpath.BuildTree(xpath.MustParse("//A[/C/F]/B/D"))
+	tree, err := Compile(xpath.MustParse("//A[/C/F]/B/D"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +204,25 @@ func TestPrecedingConversion(t *testing.T) {
 
 func TestUnsupportedQueries(t *testing.T) {
 	f := newFixture(t)
+	// Tree shapes outside the estimator's class fail at compile time.
 	for _, q := range []string{
 		"//A[/B/folls::C/folls::D]", // two order edges
-		"//*/B",                     // wildcard
+		"/A/foll::B",                // following anchored at the document root
 	} {
-		if _, err := f.est.EstimateString(q); err == nil {
-			t.Errorf("Estimate(%s) succeeded, want error", q)
+		if _, err := Compile(xpath.MustParse(q)); !errors.Is(err, guard.ErrMalformedQuery) {
+			t.Errorf("Compile(%s) = %v, want ErrMalformedQuery", q, err)
+		}
+		if _, err := f.est.Estimate(xpath.MustParse(q)); !errors.Is(err, guard.ErrMalformedQuery) {
+			t.Errorf("Estimate(%s) = %v, want ErrMalformedQuery", q, err)
 		}
 	}
-	if _, err := f.est.EstimateString("///"); err == nil {
-		t.Error("parse error not propagated")
+	// Wildcards compile but the path join rejects them.
+	tree, err := Compile(xpath.MustParse("//*/B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.est.EstimateTree(tree); err == nil {
+		t.Error("EstimateTree(//*/B) succeeded, want error")
 	}
 }
 
@@ -228,11 +239,11 @@ func TestHistogramSourceVarianceZeroMatchesTables(t *testing.T) {
 		"A![/C[/F]/folls::B/D]", "//A[/C/foll::D!]",
 	}
 	for _, q := range queries {
-		want, err := f.est.EstimateString(q)
+		want, err := f.est.Estimate(xpath.MustParse(q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hist.EstimateString(q)
+		got, err := hist.Estimate(xpath.MustParse(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +259,7 @@ func TestHistogramSourceCoarseStillEstimates(t *testing.T) {
 	ps := histogram.BuildPSet(f.tbs.Freq, n, 10)
 	os := histogram.BuildOSet(f.tbs.Order, ps, n, 10)
 	hist := New(f.tbs.Labeling, HistogramSource{P: ps, O: os})
-	got, err := hist.EstimateString("A[/C[/F]/folls::B!/D]")
+	got, err := hist.Estimate(xpath.MustParse("A[/C[/F]/folls::B!/D]"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +419,7 @@ func TestQuickEstimatesWellFormed(t *testing.T) {
 		}
 		est := New(tbs.Labeling, src)
 		for _, q := range queryPool {
-			got, err := est.EstimateString(q)
+			got, err := est.Estimate(xpath.MustParse(q))
 			if err != nil {
 				return false
 			}
@@ -516,7 +527,7 @@ func TestExplain(t *testing.T) {
 		{"//A[/C/foll::D!]", []string{"Example 5.3 rewrite"}},
 	}
 	for _, c := range cases {
-		x, err := f.est.ExplainString(c.q)
+		x, err := f.est.Explain(xpath.MustParse(c.q))
 		if err != nil {
 			t.Fatalf("Explain(%s): %v", c.q, err)
 		}
@@ -536,7 +547,7 @@ func TestExplain(t *testing.T) {
 	if f.est.trace != nil {
 		t.Fatal("Explain leaked a trace onto the shared estimator")
 	}
-	if _, err := f.est.ExplainString("((("); err == nil {
-		t.Fatal("bad query accepted")
+	if _, err := f.est.Explain(xpath.MustParse("/A/foll::B")); err == nil {
+		t.Fatal("unsupported query shape accepted")
 	}
 }

@@ -310,8 +310,8 @@ func compareEstimates(applied, fresh *editState, seed int64, step, qn int) strin
 	})
 	for _, p := range paths {
 		q := p.String()
-		gv, gerr := est.EstimateString(q)
-		wv, werr := ref.EstimateString(q)
+		gv, gerr := est.Estimate(p)
+		wv, werr := ref.Estimate(p)
 		if (gerr != nil) != (werr != nil) {
 			return fmt.Sprintf("estimate %s: apply err=%v, rebuild err=%v", q, gerr, werr)
 		}

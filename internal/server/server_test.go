@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -293,6 +294,29 @@ func TestGracefulDegradation(t *testing.T) {
 	code, m = get(t, base+"/estimate?summary=broken&q=//item")
 	if code != http.StatusOK || m["fallback"] == true {
 		t.Fatalf("healed summary still degraded: %d %v", code, m)
+	}
+}
+
+// TestShapeErrorsBeatFallback: a query that parses but has a tree
+// shape the estimator rejects — an order axis after a // step, or
+// following:: anchored at the document root — is the client's error
+// on every route, even against a name with no summary. Compilation
+// builds the query tree, so it runs before the fallback decision.
+func TestShapeErrorsBeatFallback(t *testing.T) {
+	s := startServer(t, Config{})
+	base := "http://" + s.Addr()
+	for _, q := range []string{"//b/folls::d", "/a/foll::b"} {
+		code, m := get(t, base+"/estimate?summary=nope&q="+url.QueryEscape(q))
+		if code != http.StatusBadRequest || m["kind"] != "malformed_query" {
+			t.Errorf("/estimate %s on a never-loaded name: %d %v, want 400 malformed_query", q, code, m)
+		}
+		code, m = postBatch(t, base, "nope", []string{q})
+		if code != http.StatusOK {
+			t.Fatalf("/estimate/batch %s: status %d %v", q, code, m)
+		}
+		if r := batchResults(t, m)[0]; r["kind"] != "malformed_query" || r["fallback"] == true {
+			t.Errorf("/estimate/batch %s on a never-loaded name: slot %v, want malformed_query", q, r)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"xpathest/internal/pathenc"
 	"xpathest/internal/stats"
 	"xpathest/internal/xmltree"
+	"xpathest/internal/xpath"
 )
 
 // buildFigure1 returns the Figure 1 labeling plus histograms at the
@@ -65,11 +66,11 @@ func TestRoundTripFigure1(t *testing.T) {
 			"A[/C[/F]/folls::B!/D]", "A![/C[/F]/folls::B/D]",
 			"//A[/C/foll::D!]", "//A[/B!/pre::E]",
 		} {
-			want, err := orig.EstimateString(q)
+			want, err := orig.Estimate(xpath.MustParse(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := restored.EstimateString(q)
+			got, err := restored.Estimate(xpath.MustParse(q))
 			if err != nil {
 				t.Fatalf("restored %s: %v", q, err)
 			}

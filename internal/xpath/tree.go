@@ -42,6 +42,10 @@ type OrderEdge struct {
 
 // Tree is the query-tree form of a parsed path.
 type Tree struct {
+	// Path is the path the tree was built from. Every node's Step
+	// points into it, so a rewrite of Path can locate a node's step
+	// by pointer identity.
+	Path   *Path
 	VRoot  *TreeNode
 	Nodes  []*TreeNode // all element-test nodes, preorder
 	Edges  []OrderEdge
@@ -58,7 +62,7 @@ func BuildTree(p *Path) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{VRoot: &TreeNode{}}
+	t := &Tree{Path: p, VRoot: &TreeNode{}}
 	if err := t.attachPath(t.VRoot, p, true, target); err != nil {
 		return nil, err
 	}

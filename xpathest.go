@@ -23,9 +23,9 @@
 package xpathest
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 
@@ -81,11 +81,7 @@ func (d *Document) Epoch() uint64 {
 // PathId-Frequency and Path-Order statistics, and indexes the distinct
 // path ids in the compressed binary tree.
 func ParseDocument(r io.Reader) (*Document, error) {
-	doc, err := xmltree.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(doc)
+	return ParseDocumentContext(nil, r, Limits{})
 }
 
 // ParseDocumentString is ParseDocument over a string.
@@ -95,12 +91,7 @@ func ParseDocumentString(s string) (*Document, error) {
 
 // LoadDocument reads an XML file from disk.
 func LoadDocument(path string) (*Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseDocument(f)
+	return LoadDocumentContext(nil, path, Limits{})
 }
 
 func prepare(doc *xmltree.Document) (*Document, error) {
@@ -180,11 +171,7 @@ func (d *Document) WriteXML(w io.Writer, indent bool) error {
 // ExactCount evaluates the query exactly on the document tree and
 // returns the true selectivity of its target node.
 func (d *Document) ExactCount(query string) (int, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return 0, err
-	}
-	return d.ev.Selectivity(p)
+	return d.ExactCountContext(nil, query)
 }
 
 // IndexedCount evaluates the query exactly like ExactCount, but first
@@ -306,32 +293,79 @@ type Summary struct {
 func (s *Summary) Epoch() uint64 { return s.epoch }
 
 // BuildSummary constructs the p- and o-histograms at the requested
-// variance thresholds and returns the estimator over them.
+// variance thresholds and returns the estimator over them. A negative
+// threshold is a programming error and panics; BuildSummaryContext
+// reports it as an error instead.
 func (d *Document) BuildSummary(opts SummaryOptions) *Summary {
-	s := &Summary{opts: opts, lab: d.lab, tree: d.tree, src: d, epoch: d.Epoch()}
-	if opts.Exact {
-		s.est = core.New(d.lab, core.TableSource{Tables: d.tables})
-		s.pBytes = d.tables.Freq.SizeBytes(pidRefBytes(d.lab.NumDistinct()))
-		s.oBytes = d.tables.Order.SizeBytes(pidRefBytes(d.lab.NumDistinct()))
-		// Keep variance-0 histograms around so an Exact summary can
-		// still be serialized (they are equivalent).
-		s.ps = histogramBuildP(d.tables, d.lab.NumDistinct(), 0)
-		s.os = histogramBuildO(d.tables, s.ps, d.lab.NumDistinct(), 0)
-		return s
+	// A nil context never cancels, and nothing else in the build
+	// returns an error.
+	s, _ := d.buildSummary(nil, opts)
+	return s
+}
+
+// buildSummary builds the histograms over the document's tables and the
+// summary on them, shared by BuildSummary and BuildSummaryContext.
+func (d *Document) buildSummary(ctx context.Context, opts SummaryOptions) (*Summary, error) {
+	epoch := d.Epoch()
+	ps, os, err := buildHistograms(ctx, opts, d.lab, d.tables)
+	if err != nil {
+		return nil, err
 	}
-	n := d.lab.NumDistinct()
-	s.ps = histogramBuildP(d.tables, n, opts.PVariance)
-	s.os = histogramBuildO(d.tables, s.ps, n, opts.OVariance)
-	s.est = core.New(d.lab, core.HistogramSource{P: s.ps, O: s.os})
-	s.pBytes = s.ps.SizeBytes()
-	s.oBytes = s.os.SizeBytes()
+	s := newSummary(opts, d.lab, d.tree, ps, os, d.tables)
+	s.src, s.epoch = d, epoch
+	return s, nil
+}
+
+// variances returns the thresholds the histograms are built and
+// maintained at: an Exact summary keeps variance-0 histograms, which
+// estimate identically to its tables and let it Save.
+func (o SummaryOptions) variances() (pv, ov float64) {
+	if o.Exact {
+		return 0, 0
+	}
+	return o.PVariance, o.OVariance
+}
+
+// buildHistograms builds both histograms over tables at the thresholds
+// opts selects.
+func buildHistograms(ctx context.Context, opts SummaryOptions, lab *pathenc.Labeling, tables *stats.Tables) (*histogram.PSet, *histogram.OSet, error) {
+	pv, ov := opts.variances()
+	n := lab.NumDistinct()
+	ps, err := histogram.BuildPSetContext(ctx, tables.Freq, n, pv)
+	if err != nil {
+		return nil, nil, err
+	}
+	os, err := histogram.BuildOSetContext(ctx, tables.Order, ps, n, ov)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ps, os, nil
+}
+
+// newSummary assembles a Summary over finished statistics. tables are
+// the exact statistics behind the histograms, nil for a summary that
+// has none (loaded, or streamed without a document). An Exact summary
+// with tables estimates from them; every other summary estimates from
+// its histograms. Either way the histograms are kept, so every summary
+// can Save, and the size breakdown follows the source the estimator
+// reads.
+func newSummary(opts SummaryOptions, lab *pathenc.Labeling, tree *pidtree.Tree, ps *histogram.PSet, os *histogram.OSet, tables *stats.Tables) *Summary {
+	s := &Summary{opts: opts, lab: lab, tree: tree, ps: ps, os: os}
+	if opts.Exact && tables != nil {
+		ref := pidRefBytes(lab.NumDistinct())
+		s.est = core.New(lab, core.TableSource{Tables: tables})
+		s.pBytes, s.oBytes = tables.Freq.SizeBytes(ref), tables.Order.SizeBytes(ref)
+	} else {
+		s.est = core.New(lab, core.HistogramSource{P: ps, O: os})
+		s.pBytes, s.oBytes = ps.SizeBytes(), os.SizeBytes()
+	}
 	return s
 }
 
 // Estimate returns the estimated selectivity of the query's target
 // node.
 func (s *Summary) Estimate(query string) (float64, error) {
-	return s.est.EstimateString(query)
+	return s.EstimateContext(nil, query)
 }
 
 // Explanation is a human-readable derivation of one estimate: which of
@@ -355,7 +389,11 @@ func (x Explanation) String() string {
 // Explain estimates the query while recording how the value was
 // derived.
 func (s *Summary) Explain(query string) (Explanation, error) {
-	x, err := s.est.ExplainString(query)
+	q, err := CompileQuery(query)
+	if err != nil {
+		return Explanation{}, err
+	}
+	x, err := s.est.ExplainTree(q.tree)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -401,58 +439,20 @@ func (s *Summary) Save(w io.Writer) error {
 // Summary carries no document, so only Estimate, Sizes and Save are
 // available; ExactCount needs ParseDocument/LoadDocument.
 func SummarizeFile(path string, opts SummaryOptions) (*Summary, error) {
-	return SummarizeStream(func() (io.ReadCloser, error) { return os.Open(path) }, opts)
+	return SummarizeFileContext(nil, path, opts, Limits{})
 }
 
 // SummarizeStream is SummarizeFile over any re-openable source: the
 // opener is called once per pass and must yield equivalent streams.
+// An Exact summary built here estimates from its variance-0
+// histograms, which are equivalent to the tables.
 func SummarizeStream(opener func() (io.ReadCloser, error), opts SummaryOptions) (*Summary, error) {
-	tables, err := stats.CollectStream(opener)
-	if err != nil {
-		return nil, err
-	}
-	lab := tables.Labeling
-	tree, err := pidtree.Build(lab.Distinct())
-	if err != nil {
-		return nil, err
-	}
-	s := &Summary{opts: opts, lab: lab, tree: tree}
-	n := lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		pv, ov = 0, 0
-	}
-	s.ps = histogramBuildP(tables, n, pv)
-	s.os = histogramBuildO(tables, s.ps, n, ov)
-	s.est = core.New(lab, core.HistogramSource{P: s.ps, O: s.os})
-	s.pBytes = s.ps.SizeBytes()
-	s.oBytes = s.os.SizeBytes()
-	return s, nil
+	return SummarizeStreamContext(nil, opener, opts, Limits{})
 }
 
 // ReadSummary loads a summary serialized by Save. The returned
 // Summary estimates exactly like the original; it carries no document,
 // so only Estimate and Sizes are available.
 func ReadSummary(r io.Reader) (*Summary, error) {
-	lab, ps, os, err := summaryDecode(r)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := pidtree.Build(lab.Distinct())
-	if err != nil {
-		// The distinct-pid list came from the decoded stream: a list the
-		// tree rejects means the stream was corrupt, not an internal bug.
-		return nil, fmt.Errorf("xpathest: %v: %w", err, guard.ErrCorruptSummary)
-	}
-	s := &Summary{
-		opts: SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold},
-		lab:  lab,
-		tree: tree,
-		ps:   ps,
-		os:   os,
-		est:  core.New(lab, core.HistogramSource{P: ps, O: os}),
-	}
-	s.pBytes = ps.SizeBytes()
-	s.oBytes = os.SizeBytes()
-	return s, nil
+	return ReadSummaryContext(nil, r, Limits{})
 }
