@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"xpathest/internal/delta"
-	"xpathest/internal/eval"
 	"xpathest/internal/guard"
 	"xpathest/internal/pidtree"
 	"xpathest/internal/xmltree"
@@ -159,13 +158,14 @@ func (s *Summary) Apply(sc EditScript) (*ApplyResult, error) {
 	}
 
 	// The tree changed (fully or as an applied prefix): resynchronize
-	// every derived structure and advance the epoch.
+	// the summary structures and advance the epoch. The exact-evaluation
+	// indexes are dropped, not rebuilt: they are built again on first use,
+	// and one built while the edit ran does not outlive it.
 	d.lab = st.Lab
 	d.tables = st.Tables
-	d.ev = eval.New(d.doc)
-	d.execMu.Lock()
-	d.exec = nil
-	d.execMu.Unlock()
+	d.evalMu.Lock()
+	d.ev, d.exec = nil, nil
+	d.evalMu.Unlock()
 	d.editEpoch++
 	tree, err := pidtree.Build(d.lab.Distinct())
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -123,31 +125,96 @@ func TestApplyAdvancesEpochAndRejectsStale(t *testing.T) {
 	}
 }
 
+// TestApplyDocumentQueriesAfterEdit checks that exact evaluation
+// after Apply — through ExactCount, IndexedCount and Matches — answers
+// like a fresh ParseDocument of the edited XML, whether or not the
+// lazy evaluation indexes were built before the edit, and that parsing
+// and Apply leave those indexes unbuilt.
 func TestApplyDocumentQueriesAfterEdit(t *testing.T) {
+	queries := []string{"//c", "//d", "/r/a/c", "//a[/c]", "/r/a/c[folls::d]", "/r/a[foll::b]", "//e", "//a/c[1]"}
+	// Two ops on existing paths, then a new path: both routes run.
+	sc := EditScript{Ops: []EditOp{
+		{Insert: true, Loc: []int{0}, Index: 2, XML: "<c></c>"},
+		{Loc: []int{1}},
+		{Insert: true, Loc: []int{2}, Index: 0, XML: "<e><c></c></e>"},
+	}}
+	for _, warm := range []bool{false, true} {
+		doc, err := ParseDocumentString(applyTestDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.ev != nil || doc.exec != nil {
+			t.Fatal("ParseDocument built the exact-evaluation indexes")
+		}
+		sum := doc.BuildSummary(SummaryOptions{})
+		if warm {
+			// Build both indexes so Apply must drop them.
+			if _, err := doc.IndexedCount("//c"); err != nil {
+				t.Fatal(err)
+			}
+			if doc.ev == nil || doc.exec == nil {
+				t.Fatal("IndexedCount left an index unbuilt")
+			}
+		}
+		res, err := sum.Apply(sc)
+		if err != nil {
+			t.Fatalf("warm=%v: apply: %v", warm, err)
+		}
+		if res.FastOps != 2 || res.RebuildOps != 1 {
+			t.Fatalf("warm=%v: %d fast, %d rebuild ops; want 2 and 1", warm, res.FastOps, res.RebuildOps)
+		}
+		if doc.ev != nil || doc.exec != nil {
+			t.Fatalf("warm=%v: Apply left exact-evaluation indexes behind", warm)
+		}
+		fresh, _ := rebuiltSummary(t, doc, SummaryOptions{})
+		for _, q := range queries {
+			exact, err1 := doc.ExactCount(q)
+			indexed, err2 := doc.IndexedCount(q)
+			matches, err3 := doc.Matches(q)
+			want, err4 := fresh.ExactCount(q)
+			wantMatches, err5 := fresh.Matches(q)
+			if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+				t.Fatalf("warm=%v %s: %v", warm, q, err)
+			}
+			if exact != want || indexed != want || !reflect.DeepEqual(matches, wantMatches) {
+				t.Errorf("warm=%v %s: exact %d, indexed %d, %d matches; fresh parse %d, %d matches",
+					warm, q, exact, indexed, len(matches), want, len(wantMatches))
+			}
+		}
+	}
+}
+
+// TestConcurrentFirstExactCount races the calls that build the lazy
+// evaluator and executor on a fresh document (run under -race): every
+// caller must get the same count.
+func TestConcurrentFirstExactCount(t *testing.T) {
 	doc, err := ParseDocumentString(applyTestDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := doc.BuildSummary(SummaryOptions{})
-	// Force the lazy executor into existence so Apply must invalidate it.
-	if _, err := doc.IndexedCount("//c"); err != nil {
-		t.Fatal(err)
+	const workers = 8
+	var wg sync.WaitGroup
+	counts := make([]int, workers)
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w%2 == 0 {
+				counts[w], errs[w] = doc.ExactCount("//a/c")
+			} else {
+				counts[w], errs[w] = doc.IndexedCount("//a/c")
+			}
+		}(w)
 	}
-	if _, err = sum.Apply(EditScript{Ops: []EditOp{
-		{Insert: true, Loc: []int{0}, Index: 2, XML: "<c></c>"},
-	}}); err != nil {
-		t.Fatalf("apply: %v", err)
+	wg.Wait()
+	for w := range counts {
+		if errs[w] != nil || counts[w] != 3 {
+			t.Errorf("worker %d: count %d, err %v; want 3", w, counts[w], errs[w])
+		}
 	}
-	exact, err := doc.ExactCount("//c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed, err := doc.IndexedCount("//c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact != 5 || indexed != 5 {
-		t.Fatalf("post-edit //c: exact %d indexed %d, want 5/5", exact, indexed)
+	if doc.exec == nil || doc.ev == nil {
+		t.Fatal("indexes not built")
 	}
 }
 

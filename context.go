@@ -102,7 +102,7 @@ func (d *Document) ExactCountContext(ctx context.Context, query string) (int, er
 	if err := guard.CheckContext(ctx); err != nil {
 		return 0, err
 	}
-	return d.ev.SelectivityContext(ctx, p)
+	return d.evaluator().SelectivityContext(ctx, p)
 }
 
 // EstimateContext is Estimate with a cancellation check and panic

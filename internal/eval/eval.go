@@ -70,8 +70,9 @@ func New(doc *xmltree.Document) *Evaluator {
 
 	e.firstOfTag = make([]bool, doc.NumElements())
 	e.lastOfTag = make([]bool, doc.NumElements())
+	lastSeen := map[string]*xmltree.Node{}
 	doc.Walk(func(n *xmltree.Node) bool {
-		lastSeen := map[string]*xmltree.Node{}
+		clear(lastSeen)
 		for _, c := range n.Children {
 			if lastSeen[c.Tag] == nil {
 				e.firstOfTag[c.Ord] = true
@@ -89,6 +90,9 @@ func New(doc *xmltree.Document) *Evaluator {
 	}
 	return e
 }
+
+// Doc returns the document the evaluator indexes.
+func (e *Evaluator) Doc() *xmltree.Document { return e.doc }
 
 // posOK applies a step's positional filter to a candidate node.
 func (e *Evaluator) posOK(n *xmltree.Node, pos xpath.PosFilter) bool {

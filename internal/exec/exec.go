@@ -25,19 +25,21 @@ type Executor struct {
 	est *core.Estimator
 }
 
-// New builds an executor. tables must be the exact statistics of doc
-// (a histogram source would make the pre-filter unsound); pass nil to
-// collect them.
-func New(doc *xmltree.Document, lab *pathenc.Labeling, tables *stats.Tables) *Executor {
+// New builds an executor over ev, the evaluator of the document to
+// query, so an executor shares the caller's index instead of building
+// its own. tables must be the exact statistics of that document (a
+// histogram source would make the pre-filter unsound); pass nil lab or
+// tables to derive them.
+func New(ev *eval.Evaluator, lab *pathenc.Labeling, tables *stats.Tables) *Executor {
 	if lab == nil {
-		lab = pathenc.MustBuild(doc)
+		lab = pathenc.MustBuild(ev.Doc())
 	}
 	if tables == nil {
-		tables = stats.Collect(doc, lab)
+		tables = stats.Collect(ev.Doc(), lab)
 	}
 	return &Executor{
 		lab: lab,
-		ev:  eval.New(doc),
+		ev:  ev,
 		est: core.New(lab, core.TableSource{Tables: tables}),
 	}
 }

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"fmt"
+	"maps"
 
 	"xpathest/internal/guard"
 )
@@ -9,15 +10,18 @@ import (
 // This file holds the subtree edit primitives of the incremental
 // maintenance path (package delta): splicing a detached subtree into a
 // document, detaching one, and re-deriving the document-order fields
-// afterwards. Attach and Detach only touch the parent/child links —
-// Ord, Pos, the element count and the tag statistics all go stale —
-// so every edit sequence must end with Renumber before the document is
-// walked, labeled or serialized again. Bytes keeps the size recorded
-// at parse time; edits do not try to re-estimate it.
+// afterwards. Attach and Detach keep the element count and the tag
+// statistics current in O(subtree) — each publishes a fresh tag map,
+// so a map taken from Tags before the edit never changes — but leave
+// Ord and Pos stale, so every edit sequence must end with Renumber
+// before the document is walked by order, labeled or serialized
+// again. Bytes keeps the size recorded at parse time; edits do not try
+// to re-estimate it.
 
 // Attach splices the detached subtree sub into parent's children at
-// the given index (0 ≤ index ≤ len(parent.Children)). The document's
-// derived fields are stale until Renumber.
+// the given index (0 ≤ index ≤ len(parent.Children)) and adds its
+// elements to the document statistics. Ord and Pos are stale until
+// Renumber.
 func (d *Document) Attach(parent *Node, index int, sub *Node) error {
 	if parent == nil || sub == nil {
 		return fmt.Errorf("xmltree: attach: nil node: %w", guard.ErrInvalidArgument)
@@ -32,12 +36,13 @@ func (d *Document) Attach(parent *Node, index int, sub *Node) error {
 	copy(parent.Children[index+1:], parent.Children[index:])
 	parent.Children[index] = sub
 	sub.Parent = parent
+	d.count(sub, 1)
 	return nil
 }
 
-// Detach removes n (with its whole subtree) from its parent. The root
-// cannot be detached. The document's derived fields are stale until
-// Renumber.
+// Detach removes n (with its whole subtree) from its parent and its
+// elements from the document statistics. The root cannot be detached.
+// Ord and Pos are stale until Renumber.
 func (d *Document) Detach(n *Node) error {
 	if n == nil {
 		return fmt.Errorf("xmltree: detach: nil node: %w", guard.ErrInvalidArgument)
@@ -62,14 +67,56 @@ func (d *Document) Detach(n *Node) error {
 	}
 	p.Children = append(p.Children[:i], p.Children[i+1:]...)
 	n.Parent = nil
+	d.count(n, -1)
 	return nil
 }
 
-// Renumber recomputes document order, sibling positions, the element
-// count and the tag statistics after a sequence of Attach/Detach
-// edits. It is the exported face of the finalize pass the parser and
-// builder run.
-func (d *Document) Renumber() { d.finalize() }
+// count adds sign times the elements of sub's subtree to the element
+// count and the tag statistics. It fills a copy of the tag map and
+// publishes that, so a map a reader got from Tags is never mutated; a
+// tag whose count drops to zero leaves the map.
+func (d *Document) count(sub *Node, sign int) {
+	tags := maps.Clone(d.tags)
+	if tags == nil {
+		tags = make(map[string]int)
+	}
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		d.nodes += sign
+		tags[n.Tag] += sign
+		if tags[n.Tag] == 0 {
+			delete(tags, n.Tag)
+		}
+		for _, c := range n.Children {
+			rec(c)
+		}
+	}
+	rec(sub)
+	d.tags = tags
+}
+
+// Renumber recomputes document order, sibling positions and parent
+// links after a sequence of Attach/Detach edits; the statistics are
+// already current.
+func (d *Document) Renumber() {
+	if d.Root == nil {
+		return
+	}
+	ord := 0
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		n.Ord = ord
+		ord++
+		for i, c := range n.Children {
+			c.Pos = i
+			c.Parent = n
+			rec(c)
+		}
+	}
+	d.Root.Pos = 0
+	d.Root.Parent = nil
+	rec(d.Root)
+}
 
 // NodeAt resolves a child-index path from the root: the empty path is
 // the root itself, and each entry selects a child of the node reached

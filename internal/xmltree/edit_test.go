@@ -2,6 +2,9 @@ package xmltree
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -123,6 +126,55 @@ func TestDetachStalePos(t *testing.T) {
 	d.Renumber()
 	if got := writeEdit(t, d); got != `<r><a></a><b></b></r>` {
 		t.Fatalf("after stale-Pos detach: %s", got)
+	}
+}
+
+// TestQuickEditStatsMatchReparse drives seeded random Attach/Detach
+// sequences, with Renumber at random points, and checks after every
+// step that the incrementally kept element count and tag statistics
+// equal those of a fresh Parse of the serialized tree, and that a Tags
+// map taken before the step was left untouched by it.
+func TestQuickEditStatsMatchReparse(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := randomDoc(rng, 2+rng.Intn(60))
+		for step := 0; step < 12; step++ {
+			var nodes []*Node
+			d.Walk(func(n *Node) bool { nodes = append(nodes, n); return true })
+			before := d.Tags()
+			saved := maps.Clone(before)
+			switch v := nodes[rng.Intn(len(nodes))]; {
+			case v.Parent != nil && rng.Intn(3) == 0:
+				if err := d.Detach(v); err != nil {
+					t.Fatalf("seed %d step %d: Detach: %v", seed, step, err)
+				}
+			default:
+				sub := &Node{Tag: fmt.Sprintf("fresh%d", rng.Intn(3))}
+				if rng.Intn(2) == 0 {
+					sub = CloneSubtree(nodes[rng.Intn(len(nodes))])
+				}
+				if err := d.Attach(v, rng.Intn(len(v.Children)+1), sub); err != nil {
+					t.Fatalf("seed %d step %d: Attach: %v", seed, step, err)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				d.Renumber()
+			}
+			if !reflect.DeepEqual(before, saved) {
+				t.Fatalf("seed %d step %d: edit mutated a Tags map taken before it", seed, step)
+			}
+			re := parseEdit(t, writeEdit(t, d))
+			if d.NumElements() != re.NumElements() || d.NumDistinctTags() != re.NumDistinctTags() ||
+				!reflect.DeepEqual(d.Tags(), re.Tags()) {
+				t.Fatalf("seed %d step %d: kept stats %d elements %v, reparse %d elements %v",
+					seed, step, d.NumElements(), d.Tags(), re.NumElements(), re.Tags())
+			}
+			for tag, c := range re.Tags() {
+				if d.TagCount(tag) != c {
+					t.Fatalf("seed %d step %d: TagCount(%q) = %d, reparse %d", seed, step, tag, d.TagCount(tag), c)
+				}
+			}
+		}
 	}
 }
 

@@ -128,27 +128,11 @@ func (d *Document) Walk(fn func(*Node) bool) {
 // finalize computes document order, sibling positions and statistics.
 // The builder and parser both funnel through it.
 func (d *Document) finalize() {
-	d.nodes = 0
-	d.tags = make(map[string]int)
-	if d.Root == nil {
-		return
+	d.nodes, d.tags = 0, nil
+	if d.Root != nil {
+		d.count(d.Root, 1)
 	}
-	ord := 0
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		n.Ord = ord
-		ord++
-		d.nodes++
-		d.tags[n.Tag]++
-		for i, c := range n.Children {
-			c.Pos = i
-			c.Parent = n
-			rec(c)
-		}
-	}
-	d.Root.Pos = 0
-	d.Root.Parent = nil
-	rec(d.Root)
+	d.Renumber()
 }
 
 // Parse reads an XML document from r and builds its tree. It returns

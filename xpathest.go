@@ -45,18 +45,25 @@ import (
 // Document is a parsed and labeled XML document, ready for summary
 // construction and exact evaluation. All read methods are safe for
 // concurrent use. The only mutation route is Summary.Apply, which
-// edits the tree and its derived structures under the document's edit
-// lock and advances the edit epoch; reads concurrent with an Apply see
-// either the old or the new state of each structure, so callers that
-// edit should serialize edits against reads they need to be coherent.
+// edits the tree and maintains the structures a summary is built from
+// — the labeling, the statistics tables and the pid index — under the
+// document's edit lock and advances the edit epoch; reads concurrent
+// with an Apply see either the old or the new state of each structure,
+// so callers that edit should serialize edits against reads they need
+// to be coherent. The exact-evaluation indexes behind ExactCount,
+// IndexedCount and Matches serve only those methods: they are built on
+// first use and dropped by every Apply, so parsing and editing never
+// pay for them.
 type Document struct {
 	doc    *xmltree.Document
 	lab    *pathenc.Labeling
 	tables *stats.Tables
 	tree   *pidtree.Tree
-	ev     *eval.Evaluator
 
-	execMu sync.Mutex
+	// evalMu guards the lazily built exact-evaluation indexes; exec
+	// shares ev.
+	evalMu sync.Mutex
+	ev     *eval.Evaluator
 	exec   *exec.Executor
 
 	// editMu serializes Summary.Apply calls; editEpoch counts them.
@@ -64,6 +71,33 @@ type Document struct {
 	// Apply once the document has moved on.
 	editMu    sync.Mutex
 	editEpoch uint64
+}
+
+// evaluator returns the document's exact evaluator, building it on
+// first use.
+func (d *Document) evaluator() *eval.Evaluator {
+	d.evalMu.Lock()
+	defer d.evalMu.Unlock()
+	return d.evaluatorLocked()
+}
+
+// evaluatorLocked is evaluator for a caller holding evalMu.
+func (d *Document) evaluatorLocked() *eval.Evaluator {
+	if d.ev == nil {
+		d.ev = eval.New(d.doc)
+	}
+	return d.ev
+}
+
+// executor returns the document's pid-accelerated executor, building
+// it (and the evaluator it shares) on first use.
+func (d *Document) executor() *exec.Executor {
+	d.evalMu.Lock()
+	defer d.evalMu.Unlock()
+	if d.exec == nil {
+		d.exec = exec.New(d.evaluatorLocked(), d.lab, d.tables)
+	}
+	return d.exec
 }
 
 // Epoch returns the document's edit epoch: 0 when loaded, advanced by
@@ -108,7 +142,6 @@ func prepare(doc *xmltree.Document) (*Document, error) {
 		lab:    lab,
 		tables: stats.Collect(doc, lab),
 		tree:   tree,
-		ev:     eval.New(doc),
 	}, nil
 }
 
@@ -184,13 +217,7 @@ func (d *Document) IndexedCount(query string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.execMu.Lock()
-	if d.exec == nil {
-		d.exec = exec.New(d.doc, d.lab, d.tables)
-	}
-	ex := d.exec
-	d.execMu.Unlock()
-	return ex.Count(p)
+	return d.executor().Count(p)
 }
 
 // Match is one concrete query answer.
@@ -210,7 +237,7 @@ func (d *Document) Matches(query string) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes, err := d.ev.Matches(p)
+	nodes, err := d.evaluator().Matches(p)
 	if err != nil {
 		return nil, err
 	}
