@@ -226,6 +226,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime $(FUZZTIME_SMOKE) ./internal/xmltree/
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime $(FUZZTIME_SMOKE) ./internal/summaryio/
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime $(FUZZTIME_SMOKE) ./internal/delta/
+	$(GO) test -run XXX -fuzz FuzzCollect -fuzztime $(FUZZTIME_SMOKE) ./internal/stats/
 
 # Longer local fuzzing pass over the same targets.
 FUZZTIME ?= 2m
@@ -234,6 +235,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmltree/
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/summaryio/
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/delta/
+	$(GO) test -run XXX -fuzz FuzzCollect -fuzztime $(FUZZTIME) ./internal/stats/
 
 # Regenerate every table and figure of the paper (minutes at the
 # default scale; pass SCALE=1.0 for paper-sized documents).

@@ -11,6 +11,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -125,6 +126,9 @@ func (b *Bitset) checkWidth(other *Bitset) {
 		panic(fmt.Sprintf("bitset: width mismatch %d vs %d", b.width, other.width))
 	}
 }
+
+// Reset clears every bit of b, keeping its width.
+func (b *Bitset) Reset() { clear(b.words) }
 
 // Clone returns an independent copy of b.
 func (b *Bitset) Clone() *Bitset {
@@ -364,18 +368,21 @@ func (b *Bitset) String() string {
 // the same key iff they are Equal. The representation is not
 // human-readable; use String for display.
 func (b *Bitset) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(b.words)*8 + 4)
-	sb.WriteByte(byte(b.width))
-	sb.WriteByte(byte(b.width >> 8))
-	sb.WriteByte(byte(b.width >> 16))
-	sb.WriteByte(byte(b.width >> 24))
+	var buf [4 + 8*4]byte
+	return string(b.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of b's Key to dst and returns the
+// extended slice: the width as four little-endian bytes, then each
+// word as eight. A map probe m[string(b.AppendKey(buf[:0]))] over a
+// caller-owned buffer does not allocate, which is how the labeling
+// interns a path id per element without building a key string.
+func (b *Bitset) AppendKey(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.width))
 	for _, w := range b.words {
-		for s := 0; s < 64; s += 8 {
-			sb.WriteByte(byte(w >> uint(s)))
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return sb.String()
+	return dst
 }
 
 // Bytes returns the packed big-endian byte form of the sequence:

@@ -236,6 +236,32 @@ func TestKeyWidthSensitive(t *testing.T) {
 	}
 }
 
+// TestAppendKeyLayout pins the key bytes AppendKey appends and Key
+// returns: the width as four little-endian bytes, then each word as
+// eight. Reset clears the bits and keeps the width.
+func TestAppendKeyLayout(t *testing.T) {
+	b := New(70)
+	b.Set(1)
+	b.Set(64)
+	b.Set(70)
+	want := []byte{70, 0, 0, 0}
+	for _, w := range b.words {
+		for s := 0; s < 64; s += 8 {
+			want = append(want, byte(w>>uint(s)))
+		}
+	}
+	if got := b.AppendKey([]byte("x")); string(got) != "x"+string(want) {
+		t.Fatalf("AppendKey = %v, want x + %v", got, want)
+	}
+	if b.Key() != string(want) {
+		t.Fatalf("Key = %v, want %v", []byte(b.Key()), want)
+	}
+	b.Reset()
+	if !b.IsZero() || b.Width() != 70 {
+		t.Fatalf("after Reset: %s (width %d)", b, b.Width())
+	}
+}
+
 func TestSizeBytes(t *testing.T) {
 	cases := []struct{ width, want int }{
 		{0, 0}, {1, 1}, {8, 1}, {9, 2}, {40, 5}, {87, 11}, {344, 43},

@@ -1,12 +1,40 @@
 package pathenc_test
 
 import (
+	"fmt"
 	"testing"
 
 	"xpathest/internal/bitset"
 	"xpathest/internal/datagen"
+	"xpathest/internal/paperfig"
 	"xpathest/internal/pathenc"
+	"xpathest/internal/xmltree"
 )
+
+// buildBenchScales are the SSPlays scales the build-path benchmarks
+// run at, ten times apart like the root package's write-path
+// benchmarks, so a per-element build cost shows as a ratio between
+// the two.
+var buildBenchScales = []float64{0.03, 0.3}
+
+// BenchmarkBuildLabeling labels the paper's Figure 1 document and
+// SSPlays at each of buildBenchScales.
+func BenchmarkBuildLabeling(b *testing.B) {
+	run := func(name string, doc *xmltree.Document) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pathenc.Build(doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("paperfig", paperfig.Doc())
+	for _, scale := range buildBenchScales {
+		run(fmt.Sprintf("scale=%g", scale), datagen.SSPlays(datagen.Config{Seed: 42, Scale: scale}))
+	}
+}
 
 // BenchmarkEdgeCompatible measures the per-pair compatibility check
 // the path join asks for once per (ancestor pid, descendant pid) pair

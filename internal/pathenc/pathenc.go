@@ -158,10 +158,13 @@ func (t *Table) TagRelationship(enc int, ancTag, descTag string) Relationship {
 type Labeling struct {
 	Table *Table
 
-	doc      *xmltree.Document
-	pids     []*bitset.Bitset // indexed by node Ord; interned
-	distinct []*bitset.Bitset // sorted by bit-sequence value
-	index    map[string]int   // bitset key -> index into distinct
+	doc  *xmltree.Document
+	pids []*bitset.Bitset // indexed by node Ord; interned
+	// distinct lists the interned pids in first-interning order — the
+	// post-order of Build's bottom-up pass — which is the dense-id
+	// order the delta alignment guard and summaryio rely on.
+	distinct []*bitset.Bitset
+	index    map[string]int // bitset key -> index into distinct
 
 	// denseID maps each canonical interned instance to its position in
 	// distinct. Because interning makes identical bit sequences share one
@@ -184,12 +187,18 @@ func NewTable(paths []string) (*Table, error) {
 		if _, dup := t.byPath[p]; dup {
 			return nil, fmt.Errorf("pathenc: duplicate path %q: %w", p, guard.ErrInvalidArgument)
 		}
-		t.paths = append(t.paths, p)
-		t.pathTags = append(t.pathTags, strings.Split(p, "/"))
-		t.byPath[p] = i + 1
+		t.add(p)
 	}
 	t.internTags()
 	return t, nil
+}
+
+// add appends path p with the next encoding and returns that encoding.
+func (t *Table) add(p string) int {
+	t.paths = append(t.paths, p)
+	t.pathTags = append(t.pathTags, strings.Split(p, "/"))
+	t.byPath[p] = len(t.paths)
+	return len(t.paths)
 }
 
 // EstimationLabeling wraps an encoding table and the document's
@@ -211,39 +220,39 @@ func EstimationLabeling(t *Table, distinct []*bitset.Bitset) *Labeling {
 }
 
 // Build labels every element of doc with its path id. It makes two
-// passes: one to collect distinct root-to-leaf paths in first-
-// occurrence document order, one (bottom-up) to assign path ids. An
-// inconsistency between the passes (possible only if the tree is
+// walks, neither of which allocates per element. The first collects
+// the distinct root-to-leaf paths in first-occurrence document order
+// by descending a trie of child tags, so a path string is built once
+// per distinct path, and records each leaf's encoding by Ord. The
+// second (bottom-up, see assign) assigns the path ids. An
+// inconsistency between the walks (possible only if the tree is
 // mutated concurrently) is reported as an error, never a panic.
 func Build(doc *xmltree.Document) (*Labeling, error) {
-	tbl := &Table{byPath: make(map[string]int)}
-	doc.Walk(func(n *xmltree.Node) bool {
-		if !n.IsLeaf() {
-			return true
-		}
-		p := n.PathString()
-		if _, ok := tbl.byPath[p]; !ok {
-			tbl.paths = append(tbl.paths, p)
-			tbl.pathTags = append(tbl.pathTags, strings.Split(p, "/"))
-			tbl.byPath[p] = len(tbl.paths)
-		}
-		return true
-	})
-	tbl.internTags()
-
-	l := &Labeling{
-		Table:   tbl,
-		doc:     doc,
-		pids:    make([]*bitset.Bitset, doc.NumElements()),
-		index:   make(map[string]int),
-		denseID: make(map[*bitset.Bitset]int32),
+	b := &builder{
+		tbl:  &Table{byPath: make(map[string]int)},
+		encs: make([]int32, doc.NumElements()),
 	}
 	if doc.Root != nil {
-		if _, err := l.assign(doc.Root, []string{}); err != nil {
+		if err := b.collect(doc.Root, &pathTrie{}); err != nil {
 			return nil, err
 		}
 	}
-	return l, nil
+	b.tbl.internTags()
+
+	b.lab = &Labeling{
+		Table:   b.tbl,
+		doc:     doc,
+		pids:    make([]*bitset.Bitset, len(b.encs)),
+		index:   make(map[string]int),
+		denseID: make(map[*bitset.Bitset]int32),
+	}
+	b.leafPids = make([]*bitset.Bitset, b.tbl.NumPaths()+1)
+	if doc.Root != nil {
+		if _, err := b.assign(doc.Root, 0); err != nil {
+			return nil, err
+		}
+	}
+	return b.lab, nil
 }
 
 // MustBuild is Build that panics on error, for in-process-constructed
@@ -257,50 +266,152 @@ func MustBuild(doc *xmltree.Document) *Labeling {
 	return l
 }
 
-// assign computes the path id of n bottom-up, interning the result.
-// prefix carries the tags above n (unused for the id itself but kept
-// for cheap leaf-path reconstruction).
-func (l *Labeling) assign(n *xmltree.Node, prefix []string) (*bitset.Bitset, error) {
-	width := l.Table.NumPaths()
+// pathTrie is one node of the tag-path trie Build's first walk
+// descends: kids by child tag, and enc, the encoding of the path that
+// ends here once a leaf has been seen on it (a path may be both a
+// leaf path and a prefix of longer ones).
+type pathTrie struct {
+	enc  int32
+	kids map[string]*pathTrie
+}
+
+// builder carries the state of one Build.
+type builder struct {
+	tbl   *Table
+	lab   *Labeling
+	stack []string // tags from the root down to the node being visited
+	encs  []int32  // leaf encoding by node Ord; 0 for interior nodes
+
+	// leafPids caches the interned single-bit pid of each encoding, so
+	// a leaf costs a slice read; scratch holds one or-accumulator per
+	// depth of the bottom-up walk.
+	leafPids []*bitset.Bitset
+	scratch  []*bitset.Bitset
+}
+
+// collect is the first walk: it registers n's path in the encoding
+// table if n is the first leaf on it and records the leaf's encoding.
+func (b *builder) collect(n *xmltree.Node, t *pathTrie) error {
+	if n.Ord < 0 || n.Ord >= len(b.encs) {
+		return fmt.Errorf("pathenc: node ord %d outside [0,%d): %w", n.Ord, len(b.encs), guard.ErrInternal)
+	}
+	b.stack = append(b.stack, n.Tag)
+	if n.IsLeaf() {
+		if t.enc == 0 {
+			p := strings.Join(b.stack, "/")
+			enc, ok := b.tbl.byPath[p]
+			if !ok {
+				enc = b.tbl.add(p)
+			}
+			t.enc = int32(enc)
+		}
+		b.encs[n.Ord] = t.enc
+	} else {
+		for _, c := range n.Children {
+			ct := t.kids[c.Tag]
+			if ct == nil {
+				if t.kids == nil {
+					t.kids = make(map[string]*pathTrie)
+				}
+				ct = &pathTrie{}
+				t.kids[c.Tag] = ct
+			}
+			if err := b.collect(c, ct); err != nil {
+				return err
+			}
+		}
+	}
+	b.stack = b.stack[:len(b.stack)-1]
+	return nil
+}
+
+// assign computes the path id of n bottom-up and records it. A leaf
+// takes the interned single bit of its encoding; an interior node ORs
+// its children's pids into the scratch bitset of its depth (the
+// children's own accumulators sit one level deeper) and interns the
+// result, which copies the scratch only for a pid not seen before.
+// Nodes are interned in post-order, fixing the Distinct() order.
+func (b *builder) assign(n *xmltree.Node, depth int) (*bitset.Bitset, error) {
+	l := b.lab
+	if n.Ord < 0 || n.Ord >= len(l.pids) {
+		return nil, fmt.Errorf("pathenc: node ord %d outside [0,%d): %w", n.Ord, len(l.pids), guard.ErrInternal)
+	}
 	var pid *bitset.Bitset
 	if n.IsLeaf() {
-		pid = bitset.New(width)
-		enc := l.Table.byPath[strings.Join(append(prefix, n.Tag), "/")]
+		enc := b.encs[n.Ord]
 		if enc == 0 {
 			return nil, fmt.Errorf("pathenc: leaf path missing from encoding table: %s: %w", n.PathString(), guard.ErrInternal)
 		}
-		pid.Set(enc)
+		pid = b.leafPids[enc]
+		if pid == nil {
+			pid = bitset.New(l.Table.NumPaths())
+			pid.Set(int(enc))
+			pid = l.intern(pid)
+			b.leafPids[enc] = pid
+		}
 	} else {
-		pid = bitset.New(width)
-		childPrefix := append(prefix, n.Tag)
+		if depth == len(b.scratch) {
+			b.scratch = append(b.scratch, bitset.New(l.Table.NumPaths()))
+		}
+		acc := b.scratch[depth]
+		acc.Reset()
 		for _, c := range n.Children {
-			cp, err := l.assign(c, childPrefix)
+			cp, err := b.assign(c, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			pid.Or(cp)
+			acc.Or(cp)
 		}
+		pid = l.internCopy(acc)
 	}
-	pid = l.intern(pid)
 	l.pids[n.Ord] = pid
 	return pid, nil
 }
 
-// Intern returns the canonical copy of pid, registering it in the
-// distinct-pid dictionary if new. The streaming statistics collector
-// uses it to deduplicate path ids as elements close.
-func (l *Labeling) Intern(pid *bitset.Bitset) *bitset.Bitset { return l.intern(pid) }
+// Intern returns the canonical instance of pid's bit sequence,
+// registering a copy of it if the sequence is new, so pid stays the
+// caller's to reuse. The streaming statistics collector interns each
+// element's pid this way as it closes.
+func (l *Labeling) Intern(pid *bitset.Bitset) *bitset.Bitset { return l.internCopy(pid) }
 
-// intern returns the canonical copy of pid, registering it if new.
+// keyBufBytes sizes the stack buffer lookup builds a pid's key in: the
+// 4 width bytes plus 8 per word, for pids of up to 1024 paths. A wider
+// pid still works; its key append just allocates.
+const keyBufBytes = 4 + 8*16
+
+// lookup returns the position in distinct of pid's bit sequence and
+// whether it is interned. The key is built in a stack buffer and the
+// map probe by string(key) does not allocate, so neither does a hit.
+func (l *Labeling) lookup(pid *bitset.Bitset) (int, bool) {
+	var buf [keyBufBytes]byte
+	i, ok := l.index[string(pid.AppendKey(buf[:0]))]
+	return i, ok
+}
+
+// intern returns the canonical instance of pid's bit sequence. A new
+// sequence is registered as pid itself, which the caller hands over.
 func (l *Labeling) intern(pid *bitset.Bitset) *bitset.Bitset {
-	key := pid.Key()
-	if i, ok := l.index[key]; ok {
+	if i, ok := l.lookup(pid); ok {
 		return l.distinct[i]
 	}
+	return l.register(pid)
+}
+
+// internCopy is intern for a scratch pid: a new sequence is registered
+// as a copy, so pid is never retained.
+func (l *Labeling) internCopy(pid *bitset.Bitset) *bitset.Bitset {
+	if i, ok := l.lookup(pid); ok {
+		return l.distinct[i]
+	}
+	return l.register(pid.Clone())
+}
+
+// register appends a pid not interned yet, giving it the next dense id.
+func (l *Labeling) register(pid *bitset.Bitset) *bitset.Bitset {
 	if l.denseID == nil {
 		l.denseID = make(map[*bitset.Bitset]int32)
 	}
-	l.index[key] = len(l.distinct)
+	l.index[pid.Key()] = len(l.distinct)
 	l.denseID[pid] = int32(len(l.distinct))
 	l.distinct = append(l.distinct, pid)
 	return pid
@@ -310,14 +421,15 @@ func (l *Labeling) intern(pid *bitset.Bitset) *bitset.Bitset {
 // Distinct(), a value in [0, NumDistinct()) — and whether the pid is
 // known. The fast path is a pointer lookup on the canonical instance
 // (every pid flowing out of the statistics tables and histograms is
-// one); an equal-bits-but-distinct instance falls back to a Key()
-// lookup. Dense ids let hot-path caches index slices and bitmaps
-// instead of hashing bit-sequence strings.
+// one); an equal-bits-but-distinct instance falls back to a key
+// lookup, which does not allocate either. Dense ids let hot-path
+// caches index slices and bitmaps instead of hashing bit-sequence
+// strings.
 func (l *Labeling) DenseID(pid *bitset.Bitset) (int32, bool) {
 	if id, ok := l.denseID[pid]; ok {
 		return id, true
 	}
-	if i, ok := l.index[pid.Key()]; ok {
+	if i, ok := l.lookup(pid); ok {
 		return int32(i), true
 	}
 	return -1, false

@@ -433,11 +433,3 @@ func stratifiedDoc(rng *rand.Rand, maxNodes int) *xmltree.Document {
 	b.Close()
 	return b.Document()
 }
-
-func BenchmarkBuildLabeling(b *testing.B) {
-	doc := paperfig.Doc()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Build(doc)
-	}
-}

@@ -61,24 +61,54 @@ func (t *FreqTable) NumEntries() int {
 
 // CollectFreq builds the PathId-Frequency table in one document walk.
 func CollectFreq(doc *xmltree.Document, l *pathenc.Labeling) *FreqTable {
-	pos := make(map[string]map[string]int) // tag -> pid key -> index
-	t := &FreqTable{byTag: make(map[string][]PidFreq)}
+	b := newFreqBuilder()
 	doc.Walk(func(n *xmltree.Node) bool {
-		pid := l.PidOf(n)
-		m, ok := pos[n.Tag]
-		if !ok {
-			m = make(map[string]int)
-			pos[n.Tag] = m
-		}
-		key := pid.Key()
-		if i, ok := m[key]; ok {
-			t.byTag[n.Tag][i].Freq++
-		} else {
-			m[key] = len(t.byTag[n.Tag])
-			t.byTag[n.Tag] = append(t.byTag[n.Tag], PidFreq{Pid: pid, Freq: 1})
-		}
+		b.add(n.Tag, l.PidOf(n))
 		return true
 	})
+	return b.table()
+}
+
+// freqBuilder accumulates a FreqTable from interned path ids. Each
+// tag's entry index is keyed by the canonical pid instance, so counting
+// an occurrence costs a tag probe and a pointer probe, never a key
+// string. CollectFreq and the streaming collector share it.
+type freqBuilder struct {
+	byTag map[string]*tagFreq
+}
+
+// tagFreq is one tag's entry list in first-occurrence order and the
+// position of each pid in it.
+type tagFreq struct {
+	at      map[*bitset.Bitset]int
+	entries []PidFreq
+}
+
+func newFreqBuilder() *freqBuilder {
+	return &freqBuilder{byTag: make(map[string]*tagFreq)}
+}
+
+// add counts one occurrence of tag labeled pid.
+func (b *freqBuilder) add(tag string, pid *bitset.Bitset) {
+	tf := b.byTag[tag]
+	if tf == nil {
+		tf = &tagFreq{at: make(map[*bitset.Bitset]int)}
+		b.byTag[tag] = tf
+	}
+	if i, ok := tf.at[pid]; ok {
+		tf.entries[i].Freq++
+		return
+	}
+	tf.at[pid] = len(tf.entries)
+	tf.entries = append(tf.entries, PidFreq{Pid: pid, Freq: 1})
+}
+
+// table returns the collected table.
+func (b *freqBuilder) table() *FreqTable {
+	t := &FreqTable{byTag: make(map[string][]PidFreq, len(b.byTag))}
+	for tag, tf := range b.byTag {
+		t.byTag[tag] = tf.entries
+	}
 	return t
 }
 
@@ -118,43 +148,63 @@ func (r Region) String() string {
 // before and after Y elements is counted in both regions (Section 3).
 type OrderTable struct {
 	Tag   string
-	cells map[Region]map[string]map[string]float64 // region -> pid key -> sibling tag -> count
-	pids  map[string]*bitset.Bitset                // pid key -> pid
+	cells [2]map[string]map[string]float64 // region -> pid key -> sibling tag -> count
+	pids  map[string]*bitset.Bitset        // pid key -> pid
 
 	// cellsByPid mirrors cells keyed by the interned pid instance
-	// (sharing the same inner maps), so the per-probe Get on the
-	// estimator's hot path costs a pointer hash instead of a
-	// Bitset.Key() string allocation. Path ids are interned during
-	// labeling, so every pid collected here — and every pid the
-	// estimator probes with — is its canonical instance.
-	cellsByPid map[Region]map[*bitset.Bitset]map[string]float64
+	// (sharing the same inner maps), so a probe or a cell write costs a
+	// pointer hash instead of a Bitset.Key() string allocation. Path ids
+	// are interned during labeling, so every pid collected here — and
+	// every pid the estimator probes with — is its canonical instance.
+	cellsByPid [2]map[*bitset.Bitset]map[string]float64
 }
 
 func newOrderTable(tag string) *OrderTable {
-	return &OrderTable{
-		Tag: tag,
-		cells: map[Region]map[string]map[string]float64{
-			Before: make(map[string]map[string]float64),
-			After:  make(map[string]map[string]float64),
-		},
-		pids: make(map[string]*bitset.Bitset),
-		cellsByPid: map[Region]map[*bitset.Bitset]map[string]float64{
-			Before: make(map[*bitset.Bitset]map[string]float64),
-			After:  make(map[*bitset.Bitset]map[string]float64),
-		},
+	o := &OrderTable{Tag: tag, pids: make(map[string]*bitset.Bitset)}
+	for r := range o.cells {
+		o.cells[r] = make(map[string]map[string]float64)
+		o.cellsByPid[r] = make(map[*bitset.Bitset]map[string]float64)
+	}
+	return o
+}
+
+// add adjusts g(pid, sibTag) in region by d. The cell's row is found
+// through the interned pid; the pid's key string is built only when
+// the row is created or removed. Rows and cells are deleted the moment
+// they reach zero, so the table stays indistinguishable from a freshly
+// collected one.
+func (o *OrderTable) add(region Region, pid *bitset.Bitset, sibTag string, d float64) {
+	m := o.cellsByPid[region][pid]
+	if m == nil {
+		key := pid.Key()
+		if m = o.cells[region][key]; m == nil {
+			m = make(map[string]float64)
+			o.cells[region][key] = m
+			if o.pids[key] == nil {
+				o.pids[key] = pid
+			}
+			o.cellsByPid[region][o.pids[key]] = m
+		}
+	}
+	m[sibTag] += d
+	if m[sibTag] != 0 {
+		return
+	}
+	delete(m, sibTag)
+	if len(m) > 0 {
+		return
+	}
+	key := pid.Key()
+	delete(o.cells[region], key)
+	delete(o.cellsByPid[region], o.pids[key])
+	if o.cells[Before][key] == nil && o.cells[After][key] == nil {
+		delete(o.pids, key)
 	}
 }
 
-func (o *OrderTable) add(region Region, pid *bitset.Bitset, sibTag string) {
-	key := pid.Key()
-	m := o.cells[region][key]
-	if m == nil {
-		m = make(map[string]float64)
-		o.cells[region][key] = m
-		o.cellsByPid[region][pid] = m
-	}
-	m[sibTag]++
-	o.pids[key] = pid
+// empty reports whether the table has no cell left.
+func (o *OrderTable) empty() bool {
+	return len(o.cells[Before]) == 0 && len(o.cells[After]) == 0
 }
 
 // Get returns g(pid, sibTag) in the given region; 0 for empty cells.
@@ -278,45 +328,26 @@ func (ts *OrderTables) SizeBytes(pidRefBytes int) int {
 	return ts.NumCells() * (pidRefBytes + 2 + 4)
 }
 
-// CollectOrder builds every path-order table in one walk. For each
-// sibling group it sweeps left to right, maintaining per-tag counts of
-// siblings strictly before and strictly after the current child, and
-// marks the child in the Before region for every tag still to come and
-// in the After region for every tag already seen. Same-tag siblings
-// are counted like any other tag (the paper's definition does not
-// exclude Y = X, and queries such as q1[/B/folls::B] need the cells).
+// CollectOrder builds every path-order table in one walk, running the
+// counted sibling-group sweep (see sweep) over each group of two or
+// more children. Same-tag siblings are counted like any other tag (the
+// paper's definition does not exclude Y = X, and queries such as
+// q1[/B/folls::B] need the cells).
 func CollectOrder(doc *xmltree.Document, l *pathenc.Labeling) *OrderTables {
 	ts := &OrderTables{byTag: make(map[string]*OrderTable)}
+	var (
+		sw    sweep
+		group []GroupMember
+	)
 	doc.Walk(func(parent *xmltree.Node) bool {
-		kids := parent.Children
-		if len(kids) < 2 {
+		if len(parent.Children) < 2 {
 			return true
 		}
-		remaining := map[string]int{}
-		for _, c := range kids {
-			remaining[c.Tag]++
+		group = group[:0]
+		for _, c := range parent.Children {
+			group = append(group, GroupMember{Tag: c.Tag, Pid: l.PidOf(c)})
 		}
-		seen := map[string]int{}
-		for _, c := range kids {
-			remaining[c.Tag]--
-			tbl := ts.byTag[c.Tag]
-			if tbl == nil {
-				tbl = newOrderTable(c.Tag)
-				ts.byTag[c.Tag] = tbl
-			}
-			pid := l.PidOf(c)
-			for tag, cnt := range remaining {
-				if cnt > 0 {
-					tbl.add(Before, pid, tag)
-				}
-			}
-			for tag, cnt := range seen {
-				if cnt > 0 {
-					tbl.add(After, pid, tag)
-				}
-			}
-			seen[c.Tag]++
-		}
+		sw.apply(ts, group, 1)
 		return true
 	})
 	return ts

@@ -1,11 +1,13 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"xpathest/internal/bitset"
+	"xpathest/internal/datagen"
 	"xpathest/internal/paperfig"
 	"xpathest/internal/pathenc"
 	"xpathest/internal/xmltree"
@@ -361,11 +363,26 @@ func TestSingleChildNoOrder(t *testing.T) {
 	}
 }
 
+// collectBenchScales are the SSPlays scales BenchmarkCollect runs at,
+// ten times apart like the root package's write-path benchmarks, so a
+// per-element collection cost shows as a ratio between the two.
+var collectBenchScales = []float64{0.03, 0.3}
+
+// BenchmarkCollect gathers both tables of the paper's Figure 1
+// document and of SSPlays at each of collectBenchScales, over a
+// labeling built outside the timed loop.
 func BenchmarkCollect(b *testing.B) {
-	doc := paperfig.Doc()
-	l := pathenc.MustBuild(doc)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Collect(doc, l)
+	run := func(name string, doc *xmltree.Document) {
+		b.Run(name, func(b *testing.B) {
+			l := pathenc.MustBuild(doc)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Collect(doc, l)
+			}
+		})
+	}
+	run("paperfig", paperfig.Doc())
+	for _, scale := range collectBenchScales {
+		run(fmt.Sprintf("scale=%g", scale), datagen.SSPlays(datagen.Config{Seed: 42, Scale: scale}))
 	}
 }

@@ -206,17 +206,13 @@ func streamPaths(ctx context.Context, r io.Reader, lim guard.Limits) ([]string, 
 	return paths, nil
 }
 
-// childEntry is a closed child buffered in its parent's frame.
-type childEntry struct {
-	tag string
-	pid *bitset.Bitset
-}
-
-// frame is one open element during pass two.
+// frame is one open element during pass two. Frames are reused by
+// depth, so a depth's or-accumulator and child buffer are allocated
+// once per collection, not once per element.
 type frame struct {
 	tag      string
-	pid      *bitset.Bitset // or-accumulator; nil until a child closes
-	children []childEntry
+	acc      *bitset.Bitset // or of the closed children's pids
+	children []GroupMember  // closed children; none means a leaf
 }
 
 func streamTables(ctx context.Context, r io.Reader, table *pathenc.Table, lim guard.Limits) (*Tables, error) {
@@ -224,60 +220,14 @@ func streamTables(ctx context.Context, r io.Reader, table *pathenc.Table, lim gu
 	r = cr
 	g := &streamGuard{ctx: ctx, lim: lim, cr: cr, pass: 2}
 	lab := pathenc.EstimationLabeling(table, nil)
-	freq := &FreqTable{byTag: make(map[string][]PidFreq)}
-	freqIdx := make(map[string]map[string]int)
+	freq := newFreqBuilder()
 	order := &OrderTables{byTag: make(map[string]*OrderTable)}
+	var sw sweep
 	width := table.NumPaths()
 
-	addFreq := func(tag string, pid *bitset.Bitset) {
-		m, ok := freqIdx[tag]
-		if !ok {
-			m = make(map[string]int)
-			freqIdx[tag] = m
-		}
-		key := pid.Key()
-		if i, ok := m[key]; ok {
-			freq.byTag[tag][i].Freq++
-			return
-		}
-		m[key] = len(freq.byTag[tag])
-		freq.byTag[tag] = append(freq.byTag[tag], PidFreq{Pid: pid, Freq: 1})
-	}
-
-	// addOrder replays the CollectOrder sweep over one closed sibling
-	// list.
-	addOrder := func(kids []childEntry) {
-		if len(kids) < 2 {
-			return
-		}
-		remaining := map[string]int{}
-		for _, c := range kids {
-			remaining[c.tag]++
-		}
-		seen := map[string]int{}
-		for _, c := range kids {
-			remaining[c.tag]--
-			tbl := order.byTag[c.tag]
-			if tbl == nil {
-				tbl = newOrderTable(c.tag)
-				order.byTag[c.tag] = tbl
-			}
-			for tag, cnt := range remaining {
-				if cnt > 0 {
-					tbl.add(Before, c.pid, tag)
-				}
-			}
-			for tag, cnt := range seen {
-				if cnt > 0 {
-					tbl.add(After, c.pid, tag)
-				}
-			}
-			seen[c.tag]++
-		}
-	}
-
 	dec := xml.NewDecoder(r)
-	var stack []*frame
+	var frames []frame
+	depth := 0
 	rootClosed := false
 	for {
 		tok, err := dec.Token()
@@ -292,25 +242,30 @@ func streamTables(ctx context.Context, r io.Reader, table *pathenc.Table, lim gu
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if len(stack) == 0 && rootClosed {
+			if depth == 0 && rootClosed {
 				return nil, fmt.Errorf("stats: multiple root elements: %w", guard.ErrMalformedDocument)
 			}
-			stack = append(stack, &frame{tag: t.Name.Local})
-			if err := g.open(len(stack)); err != nil {
+			if depth == len(frames) {
+				frames = append(frames, frame{acc: bitset.New(width)})
+			}
+			f := &frames[depth]
+			f.tag, f.children = t.Name.Local, f.children[:0]
+			f.acc.Reset()
+			depth++
+			if err := g.open(depth); err != nil {
 				return nil, err
 			}
 		case xml.EndElement:
-			if len(stack) == 0 {
+			if depth == 0 {
 				return nil, fmt.Errorf("stats: unbalanced end element %q: %w", t.Name.Local, guard.ErrMalformedDocument)
 			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+			depth--
+			f := &frames[depth]
 
-			var pid *bitset.Bitset
-			if f.pid == nil {
+			if len(f.children) == 0 {
 				// Leaf: its root-to-leaf path must be in the table.
 				var sb strings.Builder
-				for _, fr := range stack {
+				for _, fr := range frames[:depth] {
 					sb.WriteString(fr.tag)
 					sb.WriteByte('/')
 				}
@@ -319,34 +274,26 @@ func streamTables(ctx context.Context, r io.Reader, table *pathenc.Table, lim gu
 				if enc == 0 {
 					return nil, fmt.Errorf("stats: pass 2 saw unknown path %q (streams differ between passes?): %w", sb.String(), guard.ErrInvalidArgument)
 				}
-				pid = bitset.New(width)
-				pid.Set(enc)
-			} else {
-				pid = f.pid
+				f.acc.Set(enc)
 			}
-			pid = lab.Intern(pid)
-			addFreq(f.tag, pid)
-			addOrder(f.children)
-			f.children = nil
+			pid := lab.Intern(f.acc)
+			freq.add(f.tag, pid)
+			sw.apply(order, f.children, 1)
 
-			if len(stack) == 0 {
+			if depth == 0 {
 				rootClosed = true
 				continue
 			}
-			p := stack[len(stack)-1]
-			if p.pid == nil {
-				p.pid = pid.Clone()
-			} else {
-				p.pid.Or(pid)
-			}
-			p.children = append(p.children, childEntry{tag: f.tag, pid: pid})
+			p := &frames[depth-1]
+			p.acc.Or(pid)
+			p.children = append(p.children, GroupMember{Tag: f.tag, Pid: pid})
 		}
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("stats: unclosed element %q: %w", stack[len(stack)-1].tag, guard.ErrMalformedDocument)
+	if depth != 0 {
+		return nil, fmt.Errorf("stats: unclosed element %q: %w", frames[depth-1].tag, guard.ErrMalformedDocument)
 	}
 	if !rootClosed {
 		return nil, fmt.Errorf("stats: document has no element: %w", guard.ErrMalformedDocument)
 	}
-	return &Tables{Labeling: lab, Freq: freq, Order: order}, nil
+	return &Tables{Labeling: lab, Freq: freq.table(), Order: order}, nil
 }
